@@ -83,11 +83,14 @@ warmstart:
 # burn-rate detector, an adversarial thrashing trace for the
 # competitive-ratio detector) must fire and journal reproducibly while the
 # tsdb record path stays allocation-free and the sampler tick inside 1% of
-# the slot p50. The race detector matters because the store's seqlock-style
+# the slot p50. The race detector matters because the store's seqlock
 # Series ring is written by the sampler goroutine while queries read it, and
 # the engine's Status is served concurrently with Eval. See DESIGN.md §14.
+# The stress run repeats the ring's reader/writer race test: a torn read is
+# a rare interleaving that a single run almost never hits.
 watch:
 	$(GO) run -race ./cmd/soralbench -exp watch -q
+	$(GO) test -race -run TestSeriesConcurrentReadWrite -count=500 ./internal/obs/tsdb
 
 # The gate used before merging: static checks (vet plus the sorallint
 # invariants) and the full suite under the race detector (the ADMM consensus

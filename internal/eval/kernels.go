@@ -91,8 +91,8 @@ type kernelCase struct {
 	out  func() []byte
 }
 
-// kernelCases builds the four structured kernels at size n with
-// deterministic inputs.
+// kernelCases builds the structured kernels at size n with deterministic
+// inputs.
 func kernelCases(n int) []kernelCase {
 	rng := xorshift(uint64(n)*2654435761 + 1)
 
@@ -162,6 +162,20 @@ func kernelCases(n int) []kernelCase {
 	}
 	btf := &linalg.BlockTriChol{}
 
+	// The staircase pattern: the same blocks, but only every fourth row of
+	// each E_t is nonzero (on the day-ahead instance 18 of 78 rows couple
+	// adjacent slots), with that row support declared.
+	stair := &linalg.BlockTriDiag{Diag: btd.Diag, SubRows: make([][]int, T-1)}
+	for t, e := range btd.Sub {
+		sub := linalg.NewDense(e.Rows, e.Cols)
+		for r := 0; r < e.Rows; r += 4 {
+			copy(sub.Row(r), e.Row(r))
+			stair.SubRows[t] = append(stair.SubRows[t], r)
+		}
+		stair.Sub = append(stair.Sub, sub)
+	}
+	stf := &linalg.BlockTriChol{}
+
 	return []kernelCase{
 		{
 			name: "symrankk",
@@ -192,27 +206,41 @@ func kernelCases(n int) []kernelCase {
 					panic(fmt.Sprintf("eval: kernels blocktri n=%d: %v", n, err))
 				}
 			},
-			out: func() []byte {
-				var buf bytes.Buffer
-				x := make([]float64, btd.Dim())
-				for i := range x {
-					x[i] = 1
+			out: func() []byte { return blockTriSolveBytes(btf, btd.Dim()) },
+		},
+		{
+			name: "blocktri-staircase",
+			run: func(w int) {
+				if err := stf.RefactorizeWorkers(stair, 0, w); err != nil {
+					panic(fmt.Sprintf("eval: kernels blocktri-staircase n=%d: %v", n, err))
 				}
-				btf.Solve(x, x)
-				for _, v := range x {
-					b := math.Float64bits(v)
-					buf.Write([]byte{
-						byte(b), byte(b >> 8), byte(b >> 16), byte(b >> 24),
-						byte(b >> 32), byte(b >> 40), byte(b >> 48), byte(b >> 56)})
-				}
-				return buf.Bytes()
 			},
+			out: func() []byte { return blockTriSolveBytes(stf, stair.Dim()) },
 		},
 	}
 }
 
+// blockTriSolveBytes solves M·x = 1 with the factorization f and returns x's
+// bytes for the bit-identity check.
+func blockTriSolveBytes(f *linalg.BlockTriChol, dim int) []byte {
+	var buf bytes.Buffer
+	x := make([]float64, dim)
+	for i := range x {
+		x[i] = 1
+	}
+	f.Solve(x, x)
+	for _, v := range x {
+		b := math.Float64bits(v)
+		buf.Write([]byte{
+			byte(b), byte(b >> 8), byte(b >> 16), byte(b >> 24),
+			byte(b >> 32), byte(b >> 40), byte(b >> 48), byte(b >> 56)})
+	}
+	return buf.Bytes()
+}
+
 // Kernels times the parallel structured kernels (SymRankKUpdate,
-// AssembleNormal, blocked Cholesky, block-tridiagonal Cholesky) serial vs
+// AssembleNormal, blocked Cholesky, block-tridiagonal Cholesky with dense
+// and with staircase-sparse coupling blocks) serial vs
 // parallel at each benchmark size, re-verifying on the way that the parallel
 // outputs are bit-identical to the serial ones. The report is written as
 // BENCH_kernels.json by cmd/soralbench -exp kernels -json.

@@ -20,9 +20,18 @@ import (
 // of a multi-period optimization problem whose constraints couple only
 // adjacent periods, which is what makes the staircase LP solver linear in the
 // horizon length.
+//
+// In such problems only a few rows of each E_t are nonzero: the constraints
+// of period t that share a variable with period t−1. SubRows records that
+// row support so the factorization can skip the rest.
 type BlockTriDiag struct {
 	Diag []*Dense // T diagonal blocks, Diag[t] is n_t × n_t
 	Sub  []*Dense // T−1 sub-diagonal blocks, Sub[t] couples block t+1 to block t (n_{t+1} × n_t)
+
+	// SubRows[t], when non-nil, lists in strictly ascending order the rows
+	// of Sub[t] that may be nonzero; every other row of Sub[t] must be
+	// exactly zero. A nil SubRows, or a nil entry, means all rows.
+	SubRows [][]int
 }
 
 // NewBlockTriDiag allocates zero blocks for the given block sizes.
@@ -78,41 +87,17 @@ func (m *BlockTriDiag) Validate() error {
 			}
 		}
 	}
-	return nil
-}
-
-// MulVec computes dst = M·x for the full symmetric matrix.
-func (m *BlockTriDiag) MulVec(dst, x []float64) {
-	off := m.Offsets()
-	if len(x) != off[len(off)-1] || len(dst) != len(x) {
-		panic("linalg: BlockTriDiag.MulVec dimension mismatch")
+	if m.SubRows != nil && len(m.SubRows) != len(m.Sub) {
+		return fmt.Errorf("linalg: %d row supports for %d sub-diagonal blocks", len(m.SubRows), len(m.Sub))
 	}
-	tmp := make([]float64, 0)
-	for t, d := range m.Diag {
-		xt := x[off[t]:off[t+1]]
-		dt := dst[off[t]:off[t+1]]
-		if cap(tmp) < len(dt) {
-			tmp = make([]float64, len(dt))
+	for t, rows := range m.SubRows {
+		for i, r := range rows {
+			if r < 0 || r >= m.Sub[t].Rows || (i > 0 && r <= rows[i-1]) {
+				return fmt.Errorf("linalg: row support of sub-diagonal block %d is not strictly ascending in [0, %d)", t, m.Sub[t].Rows)
+			}
 		}
-		tmp = tmp[:len(dt)]
-		d.MulVec(tmp, xt)
-		copy(dt, tmp)
 	}
-	for t, e := range m.Sub {
-		// e couples block t+1 (rows) with block t (cols).
-		xlo := x[off[t]:off[t+1]]
-		xhi := x[off[t+1]:off[t+2]]
-		dlo := dst[off[t]:off[t+1]]
-		dhi := dst[off[t+1]:off[t+2]]
-		// dhi += E·xlo
-		th := make([]float64, len(dhi))
-		e.MulVec(th, xlo)
-		Axpy(1, th, dhi)
-		// dlo += Eᵀ·xhi
-		tl := make([]float64, len(dlo))
-		e.MulVecTrans(tl, xhi)
-		Axpy(1, tl, dlo)
-	}
+	return nil
 }
 
 // BlockTriChol is the block Cholesky factorization of a symmetric positive
@@ -120,13 +105,26 @@ func (m *BlockTriDiag) MulVec(dst, x []float64) {
 // The zero BlockTriChol is a valid workspace: Refactorize fills it and
 // reuses every internal buffer (per-block factors, coupling blocks, Schur
 // scratch, solve scratch) across calls with the same block structure.
+//
+// The coupling block F_t = E_t·L_{t−1}⁻ᵀ of L has the row support of E_t
+// (BlockTriDiag.SubRows): a zero row of E_t gives an exactly zero (+0) row
+// of F_t. Only the support rows are stored and computed, so a block step
+// costs O(n³/3 + k·n²) for k support rows instead of O(n³). Every stored
+// element sees the same floating-point operations in the same order as on
+// the all-rows path, and the skipped terms are +0 products whose
+// subtraction changes no bit, so the factor, and every solve of a finite
+// right-hand side, are bit-identical to the all-rows computation.
 type BlockTriChol struct {
 	factors []*Cholesky // per-block lower-triangular factors L_t
-	offdiag []*Dense    // F_t = E_t · L_{t−1}⁻ᵀ, t = 1..T−1 (indexed t−1)
+	// offdiag[t−1] holds the support rows of F_t, t = 1..T−1: its row i is
+	// row rows[t−1][i] of F_t.
+	offdiag []*Dense
+	rows    [][]int // row support of each E_t, copied from BlockTriDiag.SubRows
 	offsets []int
 
 	schur   []*Dense  // reusable per-block Schur complement workspaces
 	scratch []float64 // per-solve coupling scratch (max block size)
+	gather  []float64 // x_{t+1} on the support rows of E_{t+1} (max support size)
 }
 
 // NewBlockTriChol factorizes M. maxShift controls per-block diagonal
@@ -166,17 +164,38 @@ func (f *BlockTriChol) RefactorizeWorkers(m *BlockTriDiag, maxShift float64, wor
 	if len(f.factors) != T {
 		f.factors = make([]*Cholesky, T)
 		f.offdiag = make([]*Dense, T-1)
+		f.rows = make([][]int, T-1)
 		f.schur = make([]*Dense, T)
 	}
-	f.offsets = m.Offsets()
-	maxBlock := 0
-	for _, d := range m.Diag {
+	if len(f.offsets) != T+1 {
+		f.offsets = make([]int, T+1)
+	}
+	maxBlock, maxSupport := 0, 0
+	for t, d := range m.Diag {
+		f.offsets[t+1] = f.offsets[t] + d.Rows
 		if d.Rows > maxBlock {
 			maxBlock = d.Rows
 		}
 	}
+	for t, e := range m.Sub {
+		rows := f.rows[t][:0]
+		if m.SubRows != nil && m.SubRows[t] != nil {
+			rows = append(rows, m.SubRows[t]...)
+		} else {
+			for r := 0; r < e.Rows; r++ {
+				rows = append(rows, r)
+			}
+		}
+		f.rows[t] = rows
+		if len(rows) > maxSupport {
+			maxSupport = len(rows)
+		}
+	}
 	if len(f.scratch) < maxBlock {
 		f.scratch = make([]float64, maxBlock)
+	}
+	if len(f.gather) < maxSupport {
+		f.gather = make([]float64, maxSupport)
 	}
 	var prev *Cholesky
 	for t := 0; t < T; t++ {
@@ -188,33 +207,13 @@ func (f *BlockTriChol) RefactorizeWorkers(m *BlockTriDiag, maxShift float64, wor
 		}
 		copy(s.Data, d.Data)
 		if t > 0 {
-			e := m.Sub[t-1]
+			e, rows := m.Sub[t-1], f.rows[t-1]
 			ft := f.offdiag[t-1]
-			if ft == nil || ft.Rows != e.Rows || ft.Cols != e.Cols {
-				ft = NewDense(e.Rows, e.Cols)
+			if ft == nil || ft.Rows != len(rows) || ft.Cols != e.Cols {
+				ft = NewDense(len(rows), e.Cols)
 				f.offdiag[t-1] = ft
 			}
-			// F_t = E_t · L_{t−1}⁻ᵀ: solve L_{t−1}·(F_t row)ᵀ = (E_t row)ᵀ
-			// per row; the rows are independent. The serial collapse calls
-			// the kernels directly — closure literals would be heap-allocated
-			// even on the collapsed path, and Refactorize sits inside the
-			// solvers' zero-allocation loop (see EffectiveWorkers).
-			if EffectiveWorkers(workers, e.Rows) == 1 {
-				blockCouplingSolve(ft, e, prev, 0, e.Rows)
-			} else {
-				lp := prev
-				ParallelRanges(workers, e.Rows, func(lo, hi int) {
-					blockCouplingSolve(ft, e, lp, lo, hi)
-				})
-			}
-			// S_t = D_t − F_t·F_tᵀ, row ranges independent.
-			if EffectiveWorkers(workers, ft.Rows) == 1 {
-				blockSchurUpdate(s, ft, 0, ft.Rows)
-			} else {
-				ParallelRanges(workers, ft.Rows, func(lo, hi int) {
-					blockSchurUpdate(s, ft, lo, hi)
-				})
-			}
+			blockCouple(s, ft, e, rows, prev, workers)
 		}
 		if f.factors[t] == nil {
 			f.factors[t] = &Cholesky{}
@@ -227,21 +226,58 @@ func (f *BlockTriChol) RefactorizeWorkers(m *BlockTriDiag, maxShift float64, wor
 	return nil
 }
 
-// blockCouplingSolve fills rows [lo, hi) of F = E·L⁻ᵀ by forward-substituting
-// each row of E against the previous block's factor.
-func blockCouplingSolve(ft, e *Dense, prev *Cholesky, lo, hi int) {
-	for r := lo; r < hi; r++ {
-		prev.SolveLower(ft.Row(r), e.Row(r))
+// blockCouple fills the support rows of F_t = E_t·L_{t−1}⁻ᵀ into ft and
+// applies S_t −= F_t·F_tᵀ to s. Both kernels split the support rows into
+// independent ranges. The serial collapse calls them directly — closure
+// literals would be heap-allocated even on the collapsed path, and
+// Refactorize sits inside the solvers' zero-allocation loop (see
+// EffectiveWorkers).
+func blockCouple(s, ft, e *Dense, rows []int, prev *Cholesky, workers int) {
+	k := len(rows)
+	if EffectiveWorkers(workers, k) == 1 {
+		blockCouplingSolve(ft, e, rows, prev, 0, k)
+		blockSchurUpdate(s, ft, rows, 0, k)
+		return
+	}
+	ParallelRanges(workers, k, func(lo, hi int) {
+		blockCouplingSolve(ft, e, rows, prev, lo, hi)
+	})
+	ParallelRanges(workers, k, func(lo, hi int) {
+		blockSchurUpdate(s, ft, rows, lo, hi)
+	})
+}
+
+// blockCouplingSolve fills rows [lo, hi) of ft, the support rows of
+// F = E·L⁻ᵀ, by one forward substitution L·Yᵀ = Eᵀ over those right-hand
+// sides. Every element gets exactly the operations Cholesky.SolveLower would
+// apply to its row; solving the right-hand sides together only lets each row
+// of L serve all of them while it is in cache.
+func blockCouplingSolve(ft, e *Dense, rows []int, prev *Cholesky, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		copy(ft.Row(i), e.Row(rows[i]))
+	}
+	for j := 0; j < prev.N; j++ {
+		lrow := prev.L.Row(j)
+		for i := lo; i < hi; i++ {
+			y := ft.Row(i)
+			s := y[j]
+			for k := 0; k < j; k++ {
+				s -= lrow[k] * y[k]
+			}
+			y[j] = s / prev.L.At(j, j)
+		}
 	}
 }
 
-// blockSchurUpdate applies rows [lo, hi) of S −= F·Fᵀ.
-func blockSchurUpdate(s, ft *Dense, lo, hi int) {
+// blockSchurUpdate applies S −= F·Fᵀ to the support rows [lo, hi) of S, on
+// the lower triangle the block factorization reads. Rows and columns of S
+// outside the support would only have +0 subtracted.
+func blockSchurUpdate(s, ft *Dense, rows []int, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		ri := ft.Row(i)
-		srow := s.Row(i)
-		for j := 0; j < ft.Rows; j++ {
-			srow[j] -= Dot(ri, ft.Row(j))
+		fi := ft.Row(i)
+		srow := s.Row(rows[i])
+		for j, r := range rows[:i+1] {
+			srow[r] -= Dot(fi, ft.Row(j))
 		}
 	}
 }
@@ -259,26 +295,32 @@ func (f *BlockTriChol) Solve(x, b []float64) {
 		copy(x, b)
 	}
 	T := len(f.factors)
-	// Forward: y_t = L_t⁻¹ (b_t − F_t y_{t−1}).
+	// Forward: y_t = L_t⁻¹ (b_t − F_t y_{t−1}); F_t y_{t−1} is zero off the
+	// support rows.
 	for t := 0; t < T; t++ {
 		xt := x[off[t]:off[t+1]]
 		if t > 0 {
 			ft := f.offdiag[t-1]
 			prev := x[off[t-1]:off[t]]
-			tmp := f.scratch[:len(xt)]
-			ft.MulVec(tmp, prev)
-			SubTo(xt, xt, tmp)
+			for i, r := range f.rows[t-1] {
+				xt[r] -= Dot(ft.Row(i), prev)
+			}
 		}
 		f.factors[t].SolveLower(xt, xt)
 	}
-	// Backward: x_t = L_t⁻ᵀ (y_t − F_{t+1}ᵀ x_{t+1}).
+	// Backward: x_t = L_t⁻ᵀ (y_t − F_{t+1}ᵀ x_{t+1}); only the support rows
+	// of F_{t+1} contribute.
 	for t := T - 1; t >= 0; t-- {
 		xt := x[off[t]:off[t+1]]
 		if t < T-1 {
-			ft := f.offdiag[t]
+			ft, rows := f.offdiag[t], f.rows[t]
 			next := x[off[t+1]:off[t+2]]
+			g := f.gather[:len(rows)]
+			for i, r := range rows {
+				g[i] = next[r]
+			}
 			tmp := f.scratch[:len(xt)]
-			ft.MulVecTrans(tmp, next)
+			ft.MulVecTrans(tmp, g)
 			SubTo(xt, xt, tmp)
 		}
 		f.factors[t].SolveUpper(xt, xt)

@@ -4,7 +4,7 @@
 // allocation-free (a single writer — the sampler — stores into atomic
 // slots; hotalloc-pinned), and readers never block the writer: range
 // queries read the ring optimistically and discard any slot the writer
-// lapped mid-read, seqlock style.
+// rewrote mid-read, validated by a per-slot sequence stamp (a seqlock).
 //
 // The store is deliberately not a database: no files, no compaction, no
 // labels. It exists so a long-lived soral process can answer "what did
@@ -29,7 +29,10 @@ type Series struct {
 	name string
 	ts   []atomic.Int64  // Unix-nanosecond sample times
 	vs   []atomic.Uint64 // float64 bits
-	head atomic.Int64    // points ever recorded; slot = (head-1) % len
+	// seq[slot] is i+1 while the slot holds point i intact, and 0 while the
+	// writer is rewriting it.
+	seq  []atomic.Int64
+	head atomic.Int64 // points ever recorded; slot = (head-1) % len
 }
 
 func newSeries(name string, capacity int) *Series {
@@ -37,6 +40,7 @@ func newSeries(name string, capacity int) *Series {
 		name: name,
 		ts:   make([]atomic.Int64, capacity),
 		vs:   make([]atomic.Uint64, capacity),
+		seq:  make([]atomic.Int64, capacity),
 	}
 }
 
@@ -50,8 +54,10 @@ func (s *Series) Name() string { return s.name }
 func (s *Series) Record(tns int64, v float64) {
 	i := s.head.Load()
 	slot := int(i % int64(len(s.ts)))
+	s.seq[slot].Store(0)
 	s.ts[slot].Store(tns)
 	s.vs[slot].Store(math.Float64bits(v))
+	s.seq[slot].Store(i + 1)
 	s.head.Store(i + 1)
 }
 
@@ -74,39 +80,34 @@ func (s *Series) Latest() (obs.TSPoint, bool) {
 }
 
 // Since returns the retained points with TNS >= sinceNS, oldest first. The
-// read is optimistic: any slot the writer overwrote mid-read is discarded by
-// re-checking the head afterwards, so a torn point is never returned.
+// read is optimistic: a point is kept only if its slot's sequence stamp
+// names it both before and after the loads. The writer clears the stamp
+// before it touches a slot and sets it after, so a point the writer
+// overwrote mid-read is discarded and a torn point is never returned.
 func (s *Series) Since(sinceNS int64) []obs.TSPoint {
-	h0 := s.head.Load()
-	if h0 == 0 {
+	h := s.head.Load()
+	if h == 0 {
 		return nil
 	}
 	c := int64(len(s.ts))
 	lo := int64(0)
-	if h0 > c {
-		lo = h0 - c
+	if h > c {
+		lo = h - c
 	}
-	pts := make([]obs.TSPoint, 0, h0-lo)
-	idx := make([]int64, 0, h0-lo)
-	for i := lo; i < h0; i++ {
+	pts := make([]obs.TSPoint, 0, h-lo)
+	for i := lo; i < h; i++ {
 		slot := int(i % c)
+		if s.seq[slot].Load() != i+1 {
+			continue
+		}
 		t := s.ts[slot].Load()
 		v := math.Float64frombits(s.vs[slot].Load())
+		if s.seq[slot].Load() != i+1 {
+			continue
+		}
 		if t >= sinceNS {
 			pts = append(pts, obs.TSPoint{TNS: t, V: v})
-			idx = append(idx, i)
 		}
-	}
-	// Indices the writer lapped during the read (i < h1-c) may be torn.
-	h1 := s.head.Load()
-	if h1-c > lo {
-		keep := pts[:0]
-		for k, i := range idx {
-			if i >= h1-c {
-				keep = append(keep, pts[k])
-			}
-		}
-		pts = keep
 	}
 	return pts
 }

@@ -10,9 +10,10 @@ import (
 // Cache reuses a staircase Backend across solves of structurally identical
 // problems (DESIGN.md §13): a receding-horizon controller re-solving the
 // same window shape slot after slot rebuilds the partition validation, the
-// column-ownership lists, the block-tridiagonal matrix, and the
-// factorization skeleton every time, yet none of them depend on the numeric
-// values — only on the sparsity pattern and the row partition.
+// column-ownership lists, the coupling-row supports, the block-tridiagonal
+// matrix, and the factorization skeleton every time, yet none of them
+// depend on the numeric values — only on the sparsity pattern and the row
+// partition.
 //
 // The cache holds at most one backend with checkout semantics: Get removes
 // it (so concurrent solves — LCP-M runs prefix solves in parallel — never

@@ -105,3 +105,81 @@ func TestStaircaseSolveWorkersBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestBackendSteadyStateAllocFree pins the zero-allocation contract of the
+// serial IPM loop: once the first Factorize has sized the block matrix, the
+// coupling-row supports and the factorization scratch, every later
+// Factorize + Solve reuses them.
+func TestBackendSteadyStateAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(122))
+	n := model.RandomNetwork(rng, 2, 3, 2, 10)
+	in := model.RandomInputs(rng, n, 6)
+	l, err := model.BuildP1(n, in, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	std, be := buildBackend(t, l)
+	be.SetWorkers(1)
+	d := make([]float64, std.A.N)
+	for i := range d {
+		d[i] = rng.Float64() + 0.1
+	}
+	rhs := make([]float64, std.A.M)
+	for i := range rhs {
+		rhs[i] = rng.NormFloat64()
+	}
+	x := make([]float64, std.A.M)
+	if err := be.Factorize(d); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := be.Factorize(d); err != nil {
+			t.Fatal(err)
+		}
+		be.Solve(x, rhs)
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state Factorize+Solve allocates %v times per call", allocs)
+	}
+}
+
+// TestCouplingRowSupport checks the structural row support NewBackend
+// derives: every row of a sub-diagonal block outside its support assembles
+// to exactly zero, and on P1 the support is a strict subset of the rows
+// (only the reconfiguration epigraph rows couple adjacent slots).
+func TestCouplingRowSupport(t *testing.T) {
+	rng := rand.New(rand.NewSource(123))
+	n := model.RandomNetwork(rng, 2, 3, 2, 10)
+	if err := n.EnableTier1([]float64{40, 50, 60}, []float64{2, 3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	l, err := model.BuildP1(n, model.RandomInputs(rng, n, 5), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	std, be := buildBackend(t, l)
+	d := make([]float64, std.A.N)
+	for i := range d {
+		d[i] = rng.Float64() + 0.1
+	}
+	if err := be.Factorize(d); err != nil {
+		t.Fatal(err)
+	}
+	for b, e := range be.mat.Sub {
+		rows := be.mat.SubRows[b]
+		if len(rows) == 0 || len(rows) >= e.Rows {
+			t.Fatalf("Sub[%d]: %d support rows of %d", b, len(rows), e.Rows)
+		}
+		in := make([]bool, e.Rows)
+		for _, r := range rows {
+			in[r] = true
+		}
+		for r := 0; r < e.Rows; r++ {
+			for c, v := range e.Row(r) {
+				if !in[r] && v != 0 {
+					t.Fatalf("Sub[%d] row %d outside the support has %v at column %d", b, r, v, c)
+				}
+			}
+		}
+	}
+}
